@@ -18,6 +18,7 @@
 //! external counter crates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -36,11 +37,20 @@ static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 /// per-scope peak for single-threaded bench bodies.
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// The calling thread's share of [`LIVE_BYTES`]: what it allocated
+    /// minus what it freed. `const`-initialised and free of destructors, so
+    /// touching it from inside the allocator never allocates.
+    static THREAD_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
 fn live_add(delta: i64) {
     let live = LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta;
     if delta > 0 {
         PEAK_BYTES.fetch_max(live.max(0) as u64, Ordering::Relaxed);
     }
+    // `try_with`: the slot may already be gone while a thread exits.
+    let _ = THREAD_LIVE_BYTES.try_with(|c| c.set(c.get() + delta));
 }
 
 /// A [`System`]-backed allocator that counts allocation traffic plus the
@@ -93,6 +103,15 @@ pub fn heap_counters() -> (u64, u64) {
 /// Current live heap footprint in bytes (0 without [`CountingAlloc`]).
 pub fn live_heap_bytes() -> i64 {
     LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Bytes the calling thread allocated minus the bytes it freed (0 without
+/// [`CountingAlloc`]). Unlike [`live_heap_bytes`], other threads never move
+/// it, so a thread can measure its own allocations while others run. Memory
+/// allocated on one thread and freed on another moves both threads' values.
+#[cfg(test)]
+pub(crate) fn thread_live_heap_bytes() -> i64 {
+    THREAD_LIVE_BYTES.with(Cell::get)
 }
 
 /// High-water live footprint since process start or the last
@@ -494,13 +513,20 @@ mod tests {
 
     #[test]
     fn live_and_peak_track_alloc_dealloc() {
-        let before = live_heap_bytes();
+        // Concurrent tests allocate and free on other threads, so the
+        // exact deltas are asserted on this thread's own counter. The
+        // process-wide figures are only bounded below: the live total
+        // includes this thread's vector, and a `heap_scope` opened
+        // elsewhere resets the peak to a live total it read, which in a
+        // test process is far above 64 KiB.
+        let before = thread_live_heap_bytes();
         let v = vec![0u8; 1 << 16];
-        let during = live_heap_bytes();
+        let during = thread_live_heap_bytes();
         assert!(during >= before + (1 << 16));
-        assert!(peak_heap_bytes() >= during.max(0) as u64);
+        assert!(live_heap_bytes() >= 1 << 16);
+        assert!(peak_heap_bytes() >= 1 << 16);
         drop(v);
-        assert!(live_heap_bytes() < during);
+        assert!(thread_live_heap_bytes() < during);
     }
 
     #[test]

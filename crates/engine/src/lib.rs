@@ -10,12 +10,12 @@
 //!   deterministic CI runs;
 //! * a [cost-based planner](planner) picks, per batch, among brute force,
 //!   the Theorem 3.2 kd-tree/group-index structure, `V≠0` point location,
-//!   and (once updates have been applied) the warm Bentley–Saxe bucket
-//!   structure for `NN≠0` requests, and among the exact fresh sweep, the
-//!   bit-identical `quant:merged` k-way merge over warm per-bucket
-//!   summaries, spiral search, and Monte Carlo for probability requests —
-//!   amortizing index construction over the batch and recording its choice
-//!   (plus merge-vs-sweep counters and the per-bucket reuse rate in
+//!   and the Bentley–Saxe bucket structure for `NN≠0` requests, and among
+//!   the exact fresh sweep, the bit-identical `quant:merged` k-way merge
+//!   over per-bucket summaries, spiral search, and Monte Carlo for
+//!   probability requests — amortizing index construction (and, on a fresh
+//!   engine, the one-bucket bulk load) over the batch and recording its
+//!   choice (plus merge-vs-sweep counters and the per-bucket reuse rate in
 //!   [`ExecStats`]);
 //! * a [quantization-keyed LRU result cache](cache) snaps query points to a
 //!   configurable grid; snapped answers carry a *certified* widened
@@ -516,9 +516,10 @@ struct Structures {
 }
 
 /// One immutable epoch snapshot: the live site set, the dynamic structure
-/// it came from (absent at epoch 0), and the epoch's lazily-built static
-/// query structures. Batches pin the snapshot they started on via `Arc`, so
-/// a concurrent [`Engine::apply`] never changes answers mid-batch.
+/// it came from (bulk-loaded lazily at epoch 0), and the epoch's
+/// lazily-built static query structures. Batches pin the snapshot they
+/// started on via `Arc`, so a concurrent [`Engine::apply`] never changes
+/// answers mid-batch.
 struct EngineCore {
     epoch: u64,
     /// Live sites, densely indexed in ascending-id order — materialized
@@ -538,9 +539,11 @@ struct EngineCore {
     /// summary, computed by the first batch of the epoch (an O(n + N) scan
     /// `apply` no longer pays).
     shape: OnceLock<(usize, usize, f64)>,
-    /// The Bentley–Saxe structure this snapshot serves from; `None` until
-    /// the first apply (a fresh engine serves the static paths only).
-    dynamic: Option<Arc<DynamicSet>>,
+    /// The Bentley–Saxe structure this snapshot serves from. Filled at
+    /// construction from epoch 1 on; at epoch 0 the first batch planned
+    /// onto `nonzero:dynamic` or `quant:merged` bulk-loads the flat set
+    /// into one bucket, and the first apply adopts that load.
+    dynamic: OnceLock<Arc<DynamicSet>>,
     config: EngineConfig,
     /// Shared across epochs; epoch-stamped keys keep entries from ever
     /// crossing snapshots.
@@ -554,7 +557,7 @@ impl EngineCore {
     fn set(&self) -> &DiscreteSet {
         self.set.get_or_init(|| {
             self.dynamic
-                .as_ref()
+                .get()
                 .expect("epoch 0 cores are built with the set filled")
                 .live_set()
         })
@@ -567,7 +570,7 @@ impl EngineCore {
             .get_or_init(|| {
                 let d = self
                     .dynamic
-                    .as_ref()
+                    .get()
                     .expect("epoch 0 cores are built with identity ids filled");
                 Some(Arc::new(d.live_ids()))
             })
@@ -578,10 +581,34 @@ impl EngineCore {
     fn shape(&self) -> (usize, usize, f64) {
         *self.shape.get_or_init(|| {
             self.dynamic
-                .as_ref()
+                .get()
                 .expect("epoch 0 cores are built with the shape filled")
                 .live_shape()
         })
+    }
+
+    /// The Bentley–Saxe structure, bulk-loading the flat set into one
+    /// bucket on first use at epoch 0 (later epochs are built with it).
+    /// Concurrent first callers build it once; only the builder pushes
+    /// `"bulk-load"` onto `built`.
+    fn dynamic(&self, built: &mut Vec<&'static str>) -> Arc<DynamicSet> {
+        let d = self.dynamic.get_or_init(|| {
+            built.push("bulk-load");
+            Arc::new(self.bulk_load())
+        });
+        Arc::clone(d)
+    }
+
+    /// Loads the flat set into a one-bucket Bentley–Saxe structure; site
+    /// `i` keeps id `i`.
+    fn bulk_load(&self) -> DynamicSet {
+        let _s = uncertain_obs::span!("engine.bulk_load");
+        DynamicSet::from_set(self.set(), self.config.dynamic)
+    }
+
+    /// Tombstones buried in the snapshot's buckets (0 before any exist).
+    fn tombstones(&self) -> usize {
+        self.dynamic.get().map_or(0, |d| d.tombstones())
     }
 
     fn public_id(&self, dense: usize) -> SiteId {
@@ -704,7 +731,7 @@ impl Engine {
             n: set.len(),
             ids: OnceLock::from(None),
             shape: OnceLock::from((set.total_locations(), set.max_k(), spread)),
-            dynamic: None,
+            dynamic: OnceLock::new(),
             cache: Arc::new(ResultCache::new(config.cache_capacity, config.cache_grid)),
             structures: Structures::default(),
             config,
@@ -754,9 +781,11 @@ impl Engine {
         self.snapshot().set.get().is_some()
     }
 
-    /// Shape of the dynamic structure, once updates have been applied.
+    /// Shape of the current snapshot's Bentley–Saxe structure, once one
+    /// exists: from the first apply on, or at epoch 0 once a batch
+    /// bulk-loaded it.
     pub fn dynamic_stats(&self) -> Option<DynamicStats> {
-        self.snapshot().dynamic.as_ref().map(|d| d.stats())
+        self.snapshot().dynamic.get().map(|d| d.stats())
     }
 
     /// Applies a batch of site updates and publishes a new epoch snapshot.
@@ -767,8 +796,9 @@ impl Engine {
     /// [`ExecStats::epoch`] says which), and the next batch picks up the
     /// new snapshot. The update cost is the Bentley–Saxe amortized bound
     /// (buckets merged by the carry rule), **not** a full rebuild; the
-    /// first `apply` on a fresh engine additionally bulk-loads the initial
-    /// set into one bucket.
+    /// first `apply` on a fresh engine starts from the epoch-0 bulk load
+    /// (one bucket over the initial set), building it only if no batch
+    /// has yet.
     /// An apply that changes nothing — an empty batch, or one whose every
     /// update missed — returns the *current* epoch and does not publish a
     /// new snapshot, so warm cache entries survive no-op ticks.
@@ -784,7 +814,7 @@ impl Engine {
             moved: 0,
             missed,
             live: old.n,
-            tombstones: old.dynamic.as_ref().map_or(0, |d| d.tombstones()),
+            tombstones: old.tombstones(),
             merges: 0,
             global_rebuilds: 0,
             sites_rebuilt: 0,
@@ -792,10 +822,10 @@ impl Engine {
         // Effectiveness pre-check: inserts always change the set; removes
         // and moves only if the id is currently live. Bailing out *before*
         // touching the dynamic structure matters most at epoch 0, where the
-        // first effective apply pays the one-time Bentley–Saxe bulk load —
+        // first effective apply may pay the one-time Bentley–Saxe bulk load —
         // a stream of no-op batches (e.g. replays of stale ids) must not
         // pay it repeatedly.
-        let is_live = |id: SiteId| match &old.dynamic {
+        let is_live = |id: SiteId| match old.dynamic.get() {
             Some(d) => d.contains(id),
             None => id < old.n,
         };
@@ -806,9 +836,10 @@ impl Engine {
         if !effective {
             return noop_report(updates.len());
         }
-        let mut dynamic = match &old.dynamic {
+        // Epoch 0 adopts the bulk load if a batch already built it.
+        let mut dynamic = match old.dynamic.get() {
             Some(d) => (**d).clone(),
-            None => DynamicSet::from_set(old.set(), old.config.dynamic),
+            None => old.bulk_load(),
         };
         let before = dynamic.stats().rebuild;
         // Batched core apply: mutations land in order, all new entries
@@ -842,7 +873,7 @@ impl Engine {
             n: dynamic.len(),
             ids: OnceLock::new(),
             shape: OnceLock::new(),
-            dynamic: Some(Arc::new(dynamic)),
+            dynamic: OnceLock::from(Arc::new(dynamic)),
             cache: Arc::clone(&old.cache),
             structures: Structures::default(),
             config: old.config,
@@ -972,7 +1003,7 @@ impl Engine {
                 workers: self.pool.len(),
                 epoch: core.epoch,
                 live_sites: core.n,
-                tombstones: core.dynamic.as_ref().map_or(0, |d| d.tombstones()),
+                tombstones: core.tombstones(),
                 shard_stats: vec![],
                 worker_busy,
                 predicate_filter_hits: predicates.filter_hits,
@@ -1008,10 +1039,8 @@ impl Engine {
 
 fn plan_for(core: &EngineCore, nonzero_count: usize, quant_count: usize) -> BatchPlan {
     let (total_locations, max_k, spread) = core.shape();
-    let (_, quant_cold) = core
-        .dynamic
-        .as_ref()
-        .map_or((0, 0), |d| d.quant_summary_state());
+    let dynamic = core.dynamic.get();
+    let (_, quant_cold) = dynamic.map_or((0, 0), |d| d.quant_summary_state());
     planner::plan(&PlannerInputs {
         n: core.n,
         total_locations,
@@ -1025,8 +1054,8 @@ fn plan_for(core: &EngineCore, nonzero_count: usize, quant_count: usize) -> Batc
         diagram_built: lock_ok(&core.structures.diagram).is_some(),
         spiral_built: lock_ok(&core.structures.spiral).is_some(),
         mc_built_samples: lock_ok(&core.structures.mc).as_ref().map(|(s, _)| *s),
-        dynamic_ready: core.dynamic.is_some(),
-        dynamic_buckets: core.dynamic.as_ref().map_or(0, |d| d.stats().buckets),
+        dynamic_ready: dynamic.is_some(),
+        dynamic_buckets: dynamic.map_or(0, |d| d.stats().buckets),
         dynamic_quant_cold_locations: quant_cold,
         quant_snapped: core.cache.grid() > 0.0,
         shards: 0,
@@ -1103,19 +1132,11 @@ fn prepare(core: &EngineCore, plan: &BatchPlan) -> (Prepared, Vec<&'static str>)
                 .clone();
             PreparedNonzero::Diagram(arc)
         }
-        NonzeroPlan::Dynamic => PreparedNonzero::Dynamic(Arc::clone(
-            core.dynamic
-                .as_ref()
-                .expect("dynamic plan is only priced when the structure exists"),
-        )),
+        NonzeroPlan::Dynamic => PreparedNonzero::Dynamic(core.dynamic(&mut built)),
     });
     let quant = plan.quant.map(|qp| match qp {
         QuantPlan::Exact => PreparedQuant::Exact,
-        QuantPlan::Merged => PreparedQuant::Merged(Arc::clone(
-            core.dynamic
-                .as_ref()
-                .expect("merged plan is only priced when the structure exists"),
-        )),
+        QuantPlan::Merged => PreparedQuant::Merged(core.dynamic(&mut built)),
         QuantPlan::Spiral { eps } => {
             let mut slot = lock_ok(&core.structures.spiral);
             let arc = slot
@@ -1376,8 +1397,10 @@ fn quant_vector(
                     .bucket_warm
                     .fetch_add(st.warm_buckets, Ordering::Relaxed);
                 // Pairs are ascending by stable id — exactly the dense
-                // order of this epoch's live sites.
-                pairs.into_iter().map(|(_, p)| p).collect()
+                // order of this epoch's live sites. Collected from a
+                // borrow so the cached vector is allocated at its length
+                // (`into_iter` would reuse the 16 B/site pair buffer).
+                pairs.iter().map(|&(_, p)| p).collect()
             }
             PreparedQuant::Spiral(s, eps) => s.estimate_all(q, *eps),
             PreparedQuant::MonteCarlo(mc, _) => mc.estimate_all(q),
@@ -1662,6 +1685,29 @@ mod tests {
     }
 
     #[test]
+    fn cached_merged_pi_vectors_are_allocated_at_their_length() {
+        // The merged path's (id, π) pairs take 16 B/site; the cached dense
+        // π vector must not keep that buffer's capacity around.
+        let (_, eng) = engine(500, EngineConfig::default());
+        let core = eng.snapshot();
+        let plan = plan_for(&core, 0, 8);
+        assert_eq!(plan.quant, Some(QuantPlan::Merged));
+        let (prepared, built) = prepare(&core, &plan);
+        assert_eq!(built, ["bulk-load"]);
+        let q = Point::new(0.5, -1.5);
+        let quant = prepared.quant.as_ref().unwrap();
+        let (pi, _) = quant_vector(&core, quant, q, &BatchCounters::default());
+        assert_eq!(pi.len(), 500);
+        assert_eq!(pi.capacity(), pi.len());
+        // The cache holds this very vector.
+        let key = CacheKey::quant(core.epoch, q, 0.0, QuantTag::Exact);
+        let Some(CachedValue::Quant { pi: cached, .. }) = core.cache.get(&key) else {
+            panic!("merged answer not cached");
+        };
+        assert!(Arc::ptr_eq(&pi, &cached));
+    }
+
+    #[test]
     fn repeated_batch_hits_cache_and_reuses_structures() {
         let (_, eng) = engine(25, EngineConfig::default());
         let batch: Vec<QueryRequest> = workload::random_queries(16, 50.0, 3)
@@ -1883,13 +1929,17 @@ mod tests {
     fn probabilistic_guarantee_uses_monte_carlo_deterministically() {
         // A huge probability spread blows up the spiral retrieval budget,
         // and a large repeated batch amortizes the Monte-Carlo build — the
-        // regime where the planner should pick MC.
+        // regime where the planner should pick MC among the candidates a
+        // snap grid leaves. (Without a grid the exact merged path, bulk
+        // loaded for the batch, undercuts MC here.) Snapping only applies
+        // to the exact evaluators, so MC still keys on exact query bits.
         let set = workload::spread_discrete_set(400, 3, 1e5, 19);
         let config = EngineConfig {
             guarantee: Guarantee::Probabilistic {
                 eps: 0.1,
                 delta: 0.05,
             },
+            cache_grid: 0.5,
             ..EngineConfig::default()
         };
         let (e1, e2) = (
@@ -1908,6 +1958,12 @@ mod tests {
             "plan: {}",
             r1.stats.plan.summary()
         );
+        assert!(r1
+            .stats
+            .plan
+            .estimates
+            .iter()
+            .all(|e| e.name != "quant:merged"));
         assert!(r1.stats.cache_hits > 0, "repeated queries must hit cache");
         // Same seed → identical estimates across engine instances.
         assert_eq!(r1.results, r2.results);

@@ -18,11 +18,16 @@
 //!   eligible for small `n`).
 //! * quantification requests — the exact Eq. (2) fresh sweep
 //!   (`O(N log N)`/query, no build), the exact `quant:merged` k-way merge
-//!   over the Bentley–Saxe buckets' warm sorted summaries (available once
-//!   updates have been applied; priced by live-bucket count and the churn
-//!   since quantification last touched the structure), spiral search
-//!   (Theorem 4.7; needs an additive budget), or Monte Carlo (Theorem 4.3;
-//!   needs a probabilistic budget).
+//!   over the Bentley–Saxe buckets' warm sorted summaries (priced by
+//!   live-bucket count and the churn since quantification last touched the
+//!   structure), spiral search (Theorem 4.7; needs an additive budget), or
+//!   Monte Carlo (Theorem 4.3; needs a probabilistic budget).
+//!
+//! The Bentley–Saxe candidates (`nonzero:dynamic`, `quant:merged`) are
+//! priced at every epoch. Before the monolithic engine has a bucket
+//! structure, they carry the one-time bulk load of all `N` locations into
+//! one bucket as their build charge, and `quant:merged` also pays for that
+//! bucket's cold summary.
 
 use uncertain_nn::quantification::monte_carlo::samples_for_queries;
 use uncertain_nn::queries::Guarantee;
@@ -37,9 +42,9 @@ pub enum NonzeroPlan {
     /// `V≠0(P)` + slab point location (Theorem 2.14).
     Diagram,
     /// The Bentley–Saxe bucket structure maintained across updates — zero
-    /// build cost (its per-bucket indexes are kept warm incrementally by
-    /// `apply`), queries pay the Theorem 3.2 shape once per bucket. Only
-    /// available after the engine has applied updates.
+    /// build cost once it exists (its per-bucket indexes are kept warm
+    /// incrementally by `apply`), the bulk load before that; queries pay
+    /// the Theorem 3.2 shape once per bucket.
     Dynamic,
 }
 
@@ -52,11 +57,11 @@ pub enum QuantPlan {
     /// The exact k-way merge over the Bentley–Saxe buckets' warm sorted
     /// summaries, with the sweep's early exit — bit-identical to `Exact`,
     /// priced by live-bucket count and the churn since quantification last
-    /// touched the structure (cold buckets pay a lazy summary build). Only
-    /// available after the engine has applied updates, and not offered
-    /// when a snap grid is configured: snapped answers are certified
-    /// interval evaluations over the flat live set, which would silently
-    /// bypass the merge and its cost model.
+    /// touched the structure (cold buckets pay a lazy summary build; a
+    /// fresh engine pays the bulk load too). Not offered when a snap grid
+    /// is configured: snapped answers are certified interval evaluations
+    /// over the flat live set, which would silently bypass the merge and
+    /// its cost model.
     Merged,
     /// Spiral search truncated retrieval with additive error `eps`.
     Spiral { eps: f64 },
@@ -124,9 +129,11 @@ pub struct PlannerInputs {
     pub spiral_built: bool,
     /// Sample count of an already-built Monte-Carlo structure, if any.
     pub mc_built_samples: Option<usize>,
-    /// The engine has a warm Bentley–Saxe structure (epoch > 0): the
-    /// `nonzero:dynamic` and `quant:merged` candidates become available
-    /// (their bucket structure is maintained incrementally by `apply`).
+    /// The engine already has a Bentley–Saxe structure (after an apply, or
+    /// after an epoch-0 batch bulk-loaded one). When `false`, the
+    /// `nonzero:dynamic` and `quant:merged` candidates are charged the bulk
+    /// load, and the two fields below are ignored: the bulk load is one
+    /// bucket whose summary is cold over all `N` locations.
     pub dynamic_ready: bool,
     /// Occupied buckets of that structure (its per-query fan-out).
     pub dynamic_buckets: usize,
@@ -181,6 +188,28 @@ fn lg(x: f64) -> f64 {
     x.max(2.0).log2()
 }
 
+/// Build charge of the Theorem 3.2 index over `nn` locations.
+fn index_build_cost(nn: f64) -> f64 {
+    3.0 * nn * lg(nn)
+}
+
+/// Build charge of the Bentley–Saxe bulk load (`DynamicSet::from_set`)
+/// over `nn` locations: measured at about 1.6× the index build (42 ms vs
+/// 26 ms, 11 MB vs 6 MB at n = 20 000, k = 3).
+fn bulk_load_cost(nn: f64) -> f64 {
+    1.6 * index_build_cost(nn)
+}
+
+/// One-time lazy build of cold per-bucket quantification summaries over
+/// `cold` locations.
+fn cold_summary_cost(cold: f64) -> f64 {
+    if cold > 0.0 {
+        3.0 * cold * lg(cold)
+    } else {
+        0.0
+    }
+}
+
 /// Registry counter names for each choosable plan, so dumps show how often
 /// the planner picked each strategy over the process lifetime.
 fn count_nonzero_choice(p: NonzeroPlan) {
@@ -231,6 +260,18 @@ pub fn plan(inp: &PlannerInputs) -> BatchPlan {
     } else {
         expected / inp.shards as f64
     };
+    // The Bentley–Saxe structure as the candidates below would use it:
+    // the existing one, or a bulk load of all N locations into one cold
+    // bucket, charged to whichever candidate would trigger it.
+    let (bulk_load, dynamic_buckets, quant_cold) = if inp.dynamic_ready {
+        (
+            0.0,
+            inp.dynamic_buckets,
+            inp.dynamic_quant_cold_locations as f64,
+        )
+    } else {
+        (bulk_load_cost(nn), 1, nn)
+    };
 
     if inp.nonzero_count > 0 {
         let b = inp.nonzero_count as f64;
@@ -244,7 +285,7 @@ pub fn plan(inp: &PlannerInputs) -> BatchPlan {
                 if inp.index_built {
                     0.0
                 } else {
-                    3.0 * nn * lg(nn)
+                    index_build_cost(nn)
                 },
                 // Two stages: group min-max branch-and-bound + kd range
                 // reporting — O(√N + t) with a healthy constant (two tree
@@ -252,19 +293,19 @@ pub fn plan(inp: &PlannerInputs) -> BatchPlan {
                 16.0 * (nn.sqrt() + kbar + 24.0),
             ));
         }
-        if inp.dynamic_ready {
-            // Same two-stage query shape as the Theorem 3.2 index, fanned
-            // out over the occupied buckets (summed across shards when
-            // sharded, then scaled down to the fraction of shards a read is
-            // expected to actually visit); the build is already paid for
-            // incrementally by `apply`, so it is never charged here.
-            let buckets = (inp.dynamic_buckets.max(1) as f64 * touched_frac).max(1.0);
-            cands.push((
-                NonzeroPlan::Dynamic,
-                0.0,
-                16.0 * (nn.sqrt() + kbar + 24.0) + 8.0 * buckets * lg(nn) + gather_pruned,
-            ));
-        }
+        // Same two-stage query shape as the Theorem 3.2 index, fanned out
+        // over the occupied buckets (summed across shards when sharded,
+        // then scaled down to the fraction of shards a read is expected to
+        // actually visit). Once the structure exists its build is paid
+        // incrementally by `apply`; before that the bulk load costs more
+        // than the index build and every query costs more than an index
+        // query, so at epoch 0 this candidate never beats an unbuilt index.
+        let buckets = (dynamic_buckets.max(1) as f64 * touched_frac).max(1.0);
+        cands.push((
+            NonzeroPlan::Dynamic,
+            bulk_load,
+            16.0 * (nn.sqrt() + kbar + 24.0) + 8.0 * buckets * lg(nn) + gather_pruned,
+        ));
         if inp.shards == 0 && inp.n >= 2 && inp.n <= inp.diagram_cap {
             // Theorem 2.14: the arrangement has O(k n³) pieces; building it
             // dominates by far, queries are a logarithmic slab search that
@@ -298,21 +339,19 @@ pub fn plan(inp: &PlannerInputs) -> BatchPlan {
         let b = inp.quant_count as f64;
         let mut cands: Vec<(QuantPlan, f64, f64)> =
             vec![(QuantPlan::Exact, 0.0, 6.0 * nn * lg(nn) + gather)];
-        if inp.dynamic_ready && !inp.quant_snapped {
+        if !inp.quant_snapped {
             // Exact k-way merge over warm per-bucket summaries: cold buckets
-            // (churned since the last quantification) pay one lazy kd-build,
-            // then a query pays the O(live) answer assembly, the early-exit
-            // stream draws (a few multiples of k̄), and the per-bucket heap
-            // fan-out — sublinear in N, which is the whole point.
-            let buckets = (inp.dynamic_buckets.max(1) as f64 * touched_frac).max(1.0);
-            let cold = inp.dynamic_quant_cold_locations as f64;
+            // (churned since the last quantification, or the whole bulk
+            // load on a fresh engine) pay one lazy kd-build, then a query
+            // pays the O(live) answer assembly, the early-exit stream draws
+            // (a few multiples of k̄), and the per-bucket heap fan-out —
+            // sublinear in N, which is the whole point. On a fresh engine
+            // the bulk load plus the cold summary cost about 1.3 fresh
+            // sweeps, so a lone query stays fresh and a pair merges.
+            let buckets = (dynamic_buckets.max(1) as f64 * touched_frac).max(1.0);
             cands.push((
                 QuantPlan::Merged,
-                if cold > 0.0 {
-                    3.0 * cold * lg(cold)
-                } else {
-                    0.0
-                },
+                bulk_load + cold_summary_cost(quant_cold),
                 2.0 * n + 16.0 * (kbar + 2.0) * lg(nn) + 8.0 * buckets * lg(nn) + gather_pruned,
             ));
         }
@@ -413,6 +452,13 @@ mod tests {
         }
     }
 
+    fn row<'a>(p: &'a BatchPlan, name: &str) -> &'a PlanEstimate {
+        p.estimates
+            .iter()
+            .find(|e| e.name == name)
+            .unwrap_or_else(|| panic!("{name} not priced"))
+    }
+
     #[test]
     fn sharded_serving_prices_only_exact_scatter_gather_candidates() {
         // A sharded engine always has warm buckets, never a static index,
@@ -489,9 +535,15 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_candidate_appears_only_when_ready_and_beats_cold_index() {
+    fn dynamic_candidate_pays_bulk_load_until_ready_and_beats_cold_index() {
+        // A fresh engine prices the dynamic candidate with the bulk load as
+        // its build charge, which an unbuilt index undercuts.
         let cold = plan(&base(5000, 3, 64, 0, Guarantee::Exact));
-        assert!(cold.estimates.iter().all(|e| e.name != "nonzero:dynamic"));
+        assert_eq!(
+            row(&cold, "nonzero:dynamic").build,
+            bulk_load_cost(15_000.0)
+        );
+        assert_eq!(cold.nonzero, Some(NonzeroPlan::Index));
 
         let mut inp = base(5000, 3, 64, 0, Guarantee::Exact);
         inp.dynamic_ready = true;
@@ -546,11 +598,13 @@ mod tests {
     }
 
     #[test]
-    fn merged_quant_appears_only_when_dynamic_ready_and_wins_when_warm() {
-        // Static engine: no merged candidate at all.
+    fn merged_quant_pays_bulk_load_until_ready_and_wins_when_warm() {
+        // Fresh engine: the merged candidate is charged the bulk load plus
+        // the cold summary over all N locations, which a 64-query batch
+        // amortizes.
         let cold = plan(&base(4096, 3, 0, 64, Guarantee::Exact));
-        assert!(cold.estimates.iter().all(|e| e.name != "quant:merged"));
-        assert_eq!(cold.quant, Some(QuantPlan::Exact));
+        assert!(row(&cold, "quant:merged").build > bulk_load_cost(3.0 * 4096.0));
+        assert_eq!(cold.quant, Some(QuantPlan::Merged));
 
         // Warm dynamic structure: the merged path's sublinear per-query
         // cost beats the fresh O(N log N) sweep.
@@ -591,9 +645,14 @@ mod tests {
 
     #[test]
     fn guarantee_gates_quant_candidates() {
+        // An exact guarantee prices only the two exact evaluators.
         let exact = plan(&base(100, 3, 0, 32, Guarantee::Exact));
-        assert_eq!(exact.quant, Some(QuantPlan::Exact));
-        assert_eq!(exact.estimates.len(), 1);
+        let names: Vec<&str> = exact.estimates.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["quant:fresh", "quant:merged"]);
+        assert!(matches!(
+            exact.quant,
+            Some(QuantPlan::Exact | QuantPlan::Merged)
+        ));
 
         let additive = plan(&base(4000, 3, 0, 256, Guarantee::Additive(0.05)));
         assert!(matches!(additive.quant, Some(QuantPlan::Spiral { .. })));
@@ -608,10 +667,61 @@ mod tests {
                 delta: 0.05,
             },
         ));
-        // All three candidates priced; the chosen one is recorded.
-        assert_eq!(prob.estimates.len(), 3);
+        // Fresh, merged, spiral and MC all priced; the chosen one is
+        // recorded.
+        assert_eq!(prob.estimates.len(), 4);
         assert_eq!(prob.estimates.iter().filter(|e| e.chosen).count(), 1);
         assert!(prob.quant.is_some());
+    }
+
+    #[test]
+    fn epoch0_single_topk_stays_fresh() {
+        // One query cannot amortize the bulk load plus the cold summary:
+        // both together outweigh a single fresh sweep.
+        for n in [1000, 5000, 20_000, 50_000] {
+            let p = plan(&base(n, 3, 0, 1, Guarantee::Exact));
+            assert_eq!(p.quant, Some(QuantPlan::Exact), "n = {n}");
+            let merged = row(&p, "quant:merged");
+            assert!(merged.build > bulk_load_cost(3.0 * n as f64), "n = {n}");
+            assert!(merged.build > row(&p, "quant:fresh").per_query, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn epoch0_topk_batches_of_two_or_more_take_merged() {
+        for n in [1000, 5000, 20_000, 50_000] {
+            let nn = 3.0 * n as f64;
+            for b in [2, 8, 256] {
+                let p = plan(&base(n, 3, 0, b, Guarantee::Exact));
+                assert_eq!(p.quant, Some(QuantPlan::Merged), "n = {n}, batch {b}");
+                // The one-time bulk load and the cold summary over all N
+                // locations are shown as the build charge.
+                let merged = row(&p, "quant:merged");
+                assert_eq!(merged.build, bulk_load_cost(nn) + 3.0 * nn * lg(nn));
+                assert_eq!(row(&p, "quant:fresh").build, 0.0);
+            }
+            // Once the structure exists and its summary is warm, the same
+            // shape charges nothing and even a lone query merges.
+            let mut warm = base(n, 3, 0, 1, Guarantee::Exact);
+            warm.dynamic_ready = true;
+            warm.dynamic_buckets = 1;
+            let p = plan(&warm);
+            assert_eq!(row(&p, "quant:merged").build, 0.0);
+            assert_eq!(p.quant, Some(QuantPlan::Merged), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn epoch0_nonzero_never_prefers_bulk_load_over_unbuilt_index() {
+        for n in [100, 1000, 5000, 20_000, 50_000] {
+            for b in [1, 2, 16, 256, 4096, 1 << 20] {
+                let p = plan(&base(n, 3, b, 0, Guarantee::Exact));
+                assert_ne!(p.nonzero, Some(NonzeroPlan::Dynamic), "n = {n}, batch {b}");
+                let (dynamic, index) = (row(&p, "nonzero:dynamic"), row(&p, "nonzero:index"));
+                assert!(dynamic.build > index.build, "n = {n}");
+                assert!(dynamic.total > index.total, "n = {n}, batch {b}");
+            }
+        }
     }
 
     #[test]

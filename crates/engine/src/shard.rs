@@ -1454,7 +1454,10 @@ fn quant_vector(
                     .bucket_warm
                     .fetch_add(st.warm_buckets, Ordering::Relaxed);
                 record_touched(counters, st.shards_touched);
-                pairs.into_iter().map(|(_, p)| p).collect()
+                // Collected from a borrow so the cached vector is allocated
+                // at its length (`into_iter` would reuse the 16 B/site pair
+                // buffer).
+                pairs.iter().map(|&(_, p)| p).collect()
             }
             _ => {
                 counters.quant_fresh.fetch_add(1, Ordering::Relaxed);
@@ -1512,6 +1515,26 @@ mod tests {
             batch.push(QueryRequest::TopK { q, k: 4 });
         }
         batch
+    }
+
+    #[test]
+    fn cached_merged_pi_vectors_are_allocated_at_their_length() {
+        let set = workload::random_discrete_set(500, 3, 5.0, 17);
+        let eng = ShardedEngine::new(set, config(3));
+        let core = eng.snapshot();
+        let prepared = SPrepared {
+            nonzero: None,
+            quant: Some(QuantPlan::Merged),
+        };
+        let q = Point::new(0.5, -1.5);
+        let (pi, _) = quant_vector(&core, prepared, q, &BatchCounters::default());
+        assert_eq!(pi.len(), 500);
+        assert_eq!(pi.capacity(), pi.len());
+        let key = CacheKey::quant(core.generation, q, 0.0, QuantTag::Exact);
+        let Some(CachedValue::Quant { pi: cached, .. }) = core.cache.get(&key) else {
+            panic!("merged answer not cached");
+        };
+        assert!(Arc::ptr_eq(&pi, &cached));
     }
 
     /// The headline guarantee, in-crate: identical answer bits to the

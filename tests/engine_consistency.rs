@@ -8,7 +8,7 @@
 //! per-engine thread counts below, so the 1-vs-4 comparisons degenerate to
 //! 1-vs-1 under the pinned run — still a valid identity check).
 
-use uncertain_engine::{Engine, EngineConfig, QueryRequest, QueryResult};
+use uncertain_engine::{Engine, EngineConfig, QuantPlan, QueryRequest, QueryResult};
 use uncertain_geom::Point;
 use uncertain_nn::quantification::exact::quantification_discrete;
 use uncertain_nn::queries::{threshold_nn, top_k_probable, ExactQuantifier, Guarantee, Quantifier};
@@ -100,6 +100,11 @@ fn batched_results_are_identical_across_worker_counts() {
 
 #[test]
 fn approximate_engines_respect_declared_slack() {
+    // Runs spiral search and Monte Carlo through the engine. A snap grid
+    // takes the exact merged path out of the candidates (snapped answers
+    // are interval evaluations over the flat set), which would otherwise
+    // undercut both here. Snapping only applies to the exact evaluators;
+    // the approximate ones key on exact query bits.
     let set = workload::random_discrete_set(50, 3, 6.0, 105);
     let queries = workload::random_queries(30, 60.0, 106);
     let batch = mixed_batch(&queries, 0.2, 5);
@@ -121,8 +126,24 @@ fn approximate_engines_respect_declared_slack() {
             },
         ),
     ] {
-        let engine = engine_with(&set, threads, guarantee);
+        let engine = Engine::new(
+            set.clone(),
+            EngineConfig {
+                threads: Some(threads),
+                guarantee,
+                cache_grid: 0.5,
+                ..EngineConfig::default()
+            },
+        );
         let resp = engine.run_batch(&batch);
+        assert!(
+            matches!(
+                resp.stats.plan.quant,
+                Some(QuantPlan::Spiral { .. } | QuantPlan::MonteCarlo { .. })
+            ),
+            "plan under {guarantee:?}: {}",
+            resp.stats.plan.summary()
+        );
         for (req, res) in batch.iter().zip(&resp.results) {
             match (req, res) {
                 (QueryRequest::Nonzero { q }, QueryResult::Nonzero(ids)) => {

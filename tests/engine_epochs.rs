@@ -9,13 +9,14 @@
 //! 4-worker engines below degenerate to 1-vs-1 under the pinned run, which
 //! is still a valid consistency check.
 
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 use uncertain_engine::shard::{shard_of, ShardedEngine};
-use uncertain_engine::{Engine, EngineConfig, QueryRequest, QueryResult, Update};
+use uncertain_engine::{Engine, EngineConfig, QuantPlan, QueryRequest, QueryResult, Update};
 use uncertain_geom::Point;
 use uncertain_nn::model::{DiscreteSet, DiscreteUncertainPoint};
 use uncertain_nn::quantification::exact::quantification_discrete;
+use uncertain_nn::queries::{threshold_nn, top_k_probable, ExactQuantifier, Guarantee};
 use uncertain_nn::workload;
 
 /// One recorded epoch: the live set and the dense→id map right after the
@@ -483,5 +484,168 @@ fn per_epoch_answers_identical_across_worker_counts() {
         assert_batch_matches_epoch(&batch, &b1, &record(&e1));
         assert_eq!(b1.stats.live_sites, r1.live);
         assert_eq!(b1.stats.tombstones, r1.tombstones);
+    }
+}
+
+/// Epoch-0 quantification batch: TopK and Threshold at every query point.
+fn quant_batch(queries: &[Point]) -> Vec<QueryRequest> {
+    let mut batch = Vec::with_capacity(2 * queries.len());
+    for &q in queries {
+        batch.push(QueryRequest::TopK { q, k: 8 });
+        batch.push(QueryRequest::Threshold { q, tau: 0.1 });
+    }
+    batch
+}
+
+/// Checks TopK/Threshold answers against the library oracle of `oracle`'s
+/// epoch, comparing every probability by `.to_bits()`.
+fn assert_quant_bits_match(
+    batch: &[QueryRequest],
+    resp: &uncertain_engine::BatchResponse,
+    oracle: &EpochOracle,
+) {
+    let exact = ExactQuantifier(&oracle.set);
+    let bits = |items: &[(usize, f64)]| -> Vec<(usize, u64)> {
+        items.iter().map(|&(i, p)| (i, p.to_bits())).collect()
+    };
+    let public = |items: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+        items
+            .into_iter()
+            .map(|(dense, p)| (oracle.ids[dense], p.to_bits()))
+            .collect()
+    };
+    for (req, res) in batch.iter().zip(&resp.results) {
+        let QueryResult::Ranked { items, guarantee } = res else {
+            panic!("shape mismatch: {req:?} -> {res:?}");
+        };
+        assert_eq!(*guarantee, Guarantee::Exact);
+        let want = match *req {
+            QueryRequest::TopK { q, k } => top_k_probable(&exact, q, k),
+            QueryRequest::Threshold { q, tau } => threshold_nn(&exact, q, tau),
+            QueryRequest::Nonzero { .. } => unreachable!("quant batches only"),
+        };
+        assert_eq!(
+            bits(items),
+            public(want),
+            "{req:?} diverged from the epoch {} oracle",
+            resp.stats.epoch
+        );
+    }
+}
+
+/// A fresh engine serves quantification batches through the merged path
+/// over a bulk load it builds on demand, bit-identical to the library; a
+/// lone query keeps the fresh sweep; the first apply adopts the load
+/// instead of building a second one.
+#[test]
+fn epoch0_bulk_load_serves_merged_bit_identically_and_first_apply_adopts_it() {
+    let set = workload::random_discrete_set(2000, 3, 5.0, 1301);
+    let queries = workload::random_queries(48, 60.0, 1302);
+    let batch = quant_batch(&queries);
+    for threads in [1usize, 4] {
+        let engine = Engine::new(
+            set.clone(),
+            EngineConfig {
+                threads: Some(threads),
+                ..EngineConfig::default()
+            },
+        );
+        // One query does not amortize the bulk load.
+        let lone = [QueryRequest::TopK {
+            q: Point::new(1.25, -3.5),
+            k: 8,
+        }];
+        let r = engine.run_batch(&lone);
+        assert_eq!(r.stats.plan.quant, Some(QuantPlan::Exact));
+        assert!(r.stats.built.is_empty());
+        assert!(engine.dynamic_stats().is_none(), "no bulk load yet");
+        assert_quant_bits_match(&lone, &r, &record(&engine));
+
+        let r0 = engine.run_batch(&batch);
+        assert_eq!(r0.stats.epoch, 0);
+        assert_eq!(r0.stats.plan.quant, Some(QuantPlan::Merged));
+        // TopK and Threshold at one point share a cached π vector.
+        assert_eq!(r0.stats.quant_merged_evals, queries.len());
+        assert_eq!(r0.stats.quant_fresh_evals, 0);
+        assert_eq!(r0.stats.built, ["bulk-load"]);
+        assert!(
+            r0.stats.spans.iter().any(|s| s.name == "engine.bulk_load"),
+            "the bulk load shows as its own span"
+        );
+        assert_quant_bits_match(&batch, &r0, &record(&engine));
+        let bulk = engine.dynamic_stats().expect("bulk-loaded at epoch 0");
+        assert_eq!((bulk.buckets, bulk.live), (1, set.len()));
+
+        // The first apply starts from that load: only the inserted site is
+        // rebuilt, and the bulk bucket keeps the quantification summary the
+        // epoch-0 batch warmed, so the first query after the apply draws
+        // it warm (a second bulk load would start it cold).
+        let report = engine.apply(&[Update::Insert(DiscreteUncertainPoint::certain(Point::new(
+            2.0, 2.0,
+        )))]);
+        assert_eq!(report.epoch, 1);
+        assert_eq!(report.sites_rebuilt, 1);
+        let after = [QueryRequest::TopK {
+            q: Point::new(1.75, 2.5),
+            k: 8,
+        }];
+        let r1 = engine.run_batch(&after);
+        assert_eq!(r1.stats.plan.quant, Some(QuantPlan::Merged));
+        assert!(r1.stats.built.is_empty());
+        assert_eq!(r1.stats.quant_bucket_warm, 1, "bulk bucket adopted warm");
+        let oracle = record(&engine);
+        assert_quant_bits_match(&after, &r1, &oracle);
+        let r1 = engine.run_batch(&batch);
+        assert_eq!(r1.stats.epoch, 1);
+        assert_quant_bits_match(&batch, &r1, &oracle);
+    }
+}
+
+/// Two first batches racing on a fresh engine build the bulk load exactly
+/// once: the loser waits for the winner's load and serves from it.
+#[test]
+fn concurrent_first_batches_bulk_load_once() {
+    let set = workload::random_discrete_set(1500, 3, 5.0, 1303);
+    for (round, threads) in [1usize, 4, 1, 4].into_iter().enumerate() {
+        let engine = Engine::new(
+            set.clone(),
+            EngineConfig {
+                threads: Some(threads),
+                ..EngineConfig::default()
+            },
+        );
+        let batches: Vec<Vec<QueryRequest>> = (0..2)
+            .map(|i| {
+                quant_batch(&workload::random_queries(
+                    16,
+                    60.0,
+                    1304 + 2 * round as u64 + i,
+                ))
+            })
+            .collect();
+        let barrier = Barrier::new(batches.len());
+        let responses: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = batches
+                .iter()
+                .map(|batch| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        engine.run_batch(batch)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let loads = responses
+            .iter()
+            .flat_map(|r| &r.stats.built)
+            .filter(|&&b| b == "bulk-load")
+            .count();
+        assert_eq!(loads, 1, "round {round}: bulk load built {loads} times");
+        let oracle = record(&engine);
+        for (batch, resp) in batches.iter().zip(&responses) {
+            assert_eq!(resp.stats.plan.quant, Some(QuantPlan::Merged));
+            assert_quant_bits_match(batch, resp, &oracle);
+        }
     }
 }
